@@ -58,16 +58,17 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 // classifyScoreError maps an executor error to its wire code and HTTP
-// status. Unrecognized errors are query-level (unknown model, bad filter):
-// on data-symmetric replicas they fail identically everywhere, so the
-// router must not reroute them into a breaker storm.
+// status, classifying context failures by their cause. Unrecognized errors
+// are query-level (unknown model, bad filter): on data-symmetric replicas
+// they fail identically everywhere, so the router must not reroute them or
+// charge the shard's health for them.
 func classifyScoreError(err error) (code string, status int) {
-	switch {
+	switch cause := exec.ContextCause(err); {
 	case errors.Is(err, exec.ErrRejected), errors.Is(err, exec.ErrClosed):
 		return router.CodeRejected, http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
+	case cause == context.DeadlineExceeded:
 		return router.CodeTimeout, http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
+	case cause == context.Canceled:
 		return router.CodeCanceled, StatusClientClosedRequest
 	default:
 		return router.CodeBadRequest, http.StatusBadRequest

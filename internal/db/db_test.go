@@ -583,7 +583,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := t.TempDir() + "/db.gob"
+	path := t.TempDir() + "/db.snap"
 	if err := d.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
-	if _, err := LoadFile("/nonexistent/path/db.gob"); err == nil {
+	if _, err := LoadFile("/nonexistent/path/db.snap"); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -100,30 +100,17 @@ func TestBinarySnapshotRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyGobSnapshot proves databases saved before the binary page
-// format still load (the migration path: Load old file, Save rewrites it).
-func TestLoadLegacyGobSnapshot(t *testing.T) {
-	d := buildPersistFixture(t, 20)
-	var buf bytes.Buffer
-	if err := d.saveLegacyGob(&buf); err != nil {
-		t.Fatalf("saveLegacyGob: %v", err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load(legacy gob): %v", err)
-	}
-	assertSameTables(t, d, back)
-	// Short legacy prefixes (fewer than 8 magic bytes) must also route to the
-	// gob path, not be mistaken for a torn binary header.
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:5])); err == nil {
-		t.Fatalf("truncated gob should fail")
-	}
-}
-
 func TestLoadGarbageGetsTypedError(t *testing.T) {
 	_, err := Load(bytes.NewReader([]byte("definitely not a snapshot of any era")))
 	if !errors.Is(err, ErrSnapshotFormat) {
 		t.Fatalf("err = %v, want ErrSnapshotFormat", err)
+	}
+	// Prefixes shorter than the 8 magic bytes are not a snapshot either,
+	// and must not be mistaken for a torn binary header.
+	for _, short := range []string{"", "ACS", "ACSNAP0"} {
+		if _, err := Load(bytes.NewReader([]byte(short))); !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("Load(%q) err = %v, want ErrSnapshotFormat", short, err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"accelscore/internal/faults"
 	"accelscore/internal/obs"
+	"accelscore/internal/sched"
 )
 
 // DefaultChaosPlan is the acceptance scenario for the resilience layer: 20%
@@ -215,7 +216,7 @@ func runChaosPass(cfg ChaosConfig, label string, inj *faults.Injector, oracle []
 	if rep.Queries > 0 {
 		rep.Availability = float64(rep.Ok) / float64(rep.Queries)
 	}
-	rep.Mean, rep.P50, rep.P99 = latencySummary(okLats)
+	rep.Mean, rep.P50, rep.P99 = sched.LatencySummary(okLats)
 
 	var buf bytes.Buffer
 	if err := observer.Metrics().WritePrometheus(&buf); err != nil {

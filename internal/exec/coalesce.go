@@ -165,9 +165,13 @@ func (e *Executor) executeBatch(b *pendingBatch) {
 // at the executor (Close aborts it), bounded by the LATEST member deadline
 // when every member has one (the run is still useful to the member with the
 // most budget), and canceled outright once every member context is done —
-// nobody is waiting for the predictions anymore.
+// nobody is waiting for the predictions anymore. That last cancellation
+// carries the last member's own cause, so a member deadline that fires
+// before the batch's deadline timer still reads as DeadlineExceeded through
+// context.Cause, never as a client cancel.
 func (e *Executor) batchContext(ctxs []context.Context) (context.Context, context.CancelFunc) {
-	bctx, cancel := context.WithCancel(e.rootCtx)
+	bctx, cancel := context.WithCancelCause(e.rootCtx)
+	release := func() { cancel(context.Canceled) }
 	latest, all := time.Time{}, true
 	for _, c := range ctxs {
 		d, ok := c.Deadline()
@@ -182,24 +186,23 @@ func (e *Executor) batchContext(ctxs []context.Context) (context.Context, contex
 	if all && len(ctxs) > 0 {
 		var dcancel context.CancelFunc
 		bctx, dcancel = context.WithDeadline(bctx, latest)
-		inner := cancel
-		cancel = func() { dcancel(); inner() }
+		inner := release
+		release = func() { dcancel(); inner() }
 	}
 	remaining := int64(len(ctxs))
 	stops := make([]func() bool, 0, len(ctxs))
 	for _, c := range ctxs {
 		stops = append(stops, context.AfterFunc(c, func() {
 			if atomic.AddInt64(&remaining, -1) == 0 {
-				cancel()
+				cancel(context.Cause(c))
 			}
 		}))
 	}
-	final := cancel
 	return bctx, func() {
 		for _, stop := range stops {
 			stop()
 		}
-		final()
+		release()
 	}
 }
 

@@ -1,6 +1,8 @@
 package exec_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -144,8 +146,9 @@ func TestCoalesceWindowSealsSingleton(t *testing.T) {
 	}
 }
 
-// blockingBackend parks every Score call until released, so tests can hold
-// queries in the executing state deterministically.
+// blockingBackend parks every Score call until released (or until the
+// request's context ends it), so tests can hold queries in the executing
+// state deterministically.
 type blockingBackend struct {
 	entered chan struct{}
 	release chan struct{}
@@ -155,7 +158,11 @@ func (b *blockingBackend) Name() string { return "BLOCK" }
 
 func (b *blockingBackend) Score(req *backend.Request) (*backend.Result, error) {
 	b.entered <- struct{}{}
-	<-b.release
+	select {
+	case <-b.release:
+	case <-req.Context().Done():
+		return nil, req.Context().Err()
+	}
 	preds := make([]int, req.Data.NumRecords())
 	var tl sim.Timeline
 	tl.Add("blocked scoring", sim.KindCompute, time.Millisecond)
@@ -166,6 +173,55 @@ func (b *blockingBackend) Estimate(stats forest.Stats, records int64) (*sim.Time
 	var tl sim.Timeline
 	tl.Add("blocked scoring", sim.KindCompute, time.Millisecond)
 	return &tl, nil
+}
+
+// expiringCtx reports a deadline an hour out, yet its Done closes with
+// DeadlineExceeded as soon as done is closed: a member deadline that fires
+// while the coalesced batch's own deadline timer has not.
+type expiringCtx struct {
+	context.Context // Background: no values, no cancellation of its own
+	done            chan struct{}
+}
+
+func (c expiringCtx) Deadline() (time.Time, bool) { return time.Now().Add(time.Hour), true }
+func (c expiringCtx) Done() <-chan struct{}       { return c.done }
+
+func (c expiringCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestCoalescedMemberDeadlineIsNotACancel pins the coalesced-batch
+// deadline/cancel race without sleeping: the last member's deadline ends
+// the batch before the batch's own deadline timer fires, so the batch
+// context reads Canceled, yet the query must fail with DeadlineExceeded
+// (serve's 504), never as a client cancel (499).
+func TestCoalescedMemberDeadlineIsNotACancel(t *testing.T) {
+	p, _, _ := newEnv(t, 4, 6, 60)
+	bb := &blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	if err := p.Registry.Register(bb); err != nil {
+		t.Fatal(err)
+	}
+	e := exec.New(p, exec.Config{Workers: 1, QueueDepth: 4, CoalesceWindow: time.Millisecond, MaxBatch: 4})
+	member := expiringCtx{Context: context.Background(), done: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(member, "EXEC sp_score_model @model='iris_rf', @data='iris', @backend='BLOCK'")
+		errc <- err
+	}()
+	<-bb.entered // the batch runs under its own deadline, an hour out
+	close(member.done)
+	if err := <-errc; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	out := exposition(t, p)
+	if !strings.Contains(out, exec.MetricDeadlineExceededTotal+" 1") || strings.Contains(out, exec.MetricCanceledTotal) {
+		t.Fatalf("member deadline not counted as a deadline:\n%s", out)
+	}
 }
 
 // TestBackpressureRejectsWhenFull fills the admission queue with queries

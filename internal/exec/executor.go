@@ -437,12 +437,27 @@ func (e *Executor) noteTerminal(err error) {
 	if reg == nil {
 		return
 	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
+	switch ContextCause(err) {
+	case context.DeadlineExceeded:
 		reg.Counter(MetricDeadlineExceededTotal, "Queries terminated by deadline expiry.").Inc()
-	case errors.Is(err, context.Canceled):
+	case context.Canceled:
 		reg.Counter(MetricCanceledTotal, "Queries terminated by client cancellation.").Inc()
 	}
+}
+
+// ContextCause returns the context condition that ended err —
+// context.DeadlineExceeded or context.Canceled — or nil for any other
+// error. A deadline anywhere in the chain wins: when a member's deadline
+// ends a coalesced batch, the batch's own context reads Canceled and the
+// error carries the member's cause next to it.
+func ContextCause(err error) error {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return context.DeadlineExceeded
+	case errors.Is(err, context.Canceled):
+		return context.Canceled
+	}
+	return nil
 }
 
 // noteExpiredShed counts queries dropped because their deadline had already
@@ -461,7 +476,7 @@ func (e *Executor) runBatch(ctx context.Context, reqs []*pipeline.ScoreRequest) 
 	select {
 	case e.workers <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, context.Cause(ctx)
 	}
 	defer func() { <-e.workers }()
 

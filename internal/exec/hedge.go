@@ -10,6 +10,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -155,7 +156,7 @@ type attempt struct {
 	lat   time.Duration
 }
 
-// hedgeOutcome is a hedged hop-0 attempt's resolution. All breaker and gate
+// hedgeOutcome is one hop's resolution (hedged or not). All gate
 // accounting for the attempts it ran has already been applied.
 type hedgeOutcome struct {
 	value       any
@@ -166,7 +167,25 @@ type hedgeOutcome struct {
 	hedgeWon    bool
 }
 
-func soloOutcome(a attempt) hedgeOutcome {
+// settleAttempt releases one completed attempt's gate slot with its
+// outcome. canceledByUs marks a hedge-race loser we reaped: its failure is
+// nobody's fault.
+func (d *Dispatcher) settleAttempt(ctx context.Context, a attempt, canceledByUs bool) {
+	switch {
+	case a.err == nil, !rerouteable(a.err):
+		// A query-level (NoReroute) error means the shard answered
+		// correctly; only the query was bad.
+		d.gateRelease(a.shard, GateSuccess, a.lat)
+	case canceledByUs, ctx.Err() != nil, errors.Is(a.err, ErrShardBusy):
+		d.gateRelease(a.shard, GateAbandoned, a.lat)
+	default:
+		d.gateRelease(a.shard, GateFailure, a.lat)
+	}
+}
+
+// settleSolo settles a lone attempt and resolves its hop with it.
+func (d *Dispatcher) settleSolo(ctx context.Context, a attempt) hedgeOutcome {
+	d.settleAttempt(ctx, a, false)
 	out := hedgeOutcome{value: a.v, shard: a.shard, err: a.err}
 	if a.err != nil && rerouteable(a.err) {
 		out.attemptErrs = []error{fmt.Errorf("shard %d: %w", a.shard, a.err)}
@@ -174,30 +193,18 @@ func soloOutcome(a attempt) hedgeOutcome {
 	return out
 }
 
-// settleAttempt applies breaker and gate accounting for one completed
-// attempt. canceledByUs marks a hedge-race loser we reaped: its failure is
-// nobody's fault.
-func (d *Dispatcher) settleAttempt(ctx context.Context, a attempt, br *breaker, canceledByUs bool) {
-	switch {
-	case a.err == nil, !rerouteable(a.err):
-		// A query-level (NoReroute) error means the shard answered
-		// correctly; only the query was bad.
-		br.success()
-		d.gateRelease(a.shard, GateSuccess, a.lat)
-	case canceledByUs, ctx.Err() != nil:
-		br.abandon()
-		d.gateRelease(a.shard, GateAbandoned, a.lat)
-	default:
-		br.failure()
-		d.gateRelease(a.shard, GateFailure, a.lat)
-	}
+// soloAttempt runs one unhedged attempt on shard, whose gate slot the
+// caller holds, and settles it.
+func (d *Dispatcher) soloAttempt(ctx context.Context, shard int, part pipeline.Partition, do ShardFunc) hedgeOutcome {
+	start := time.Now()
+	v, err := do(ctx, shard, part)
+	return d.settleSolo(ctx, attempt{shard: shard, v: v, err: err, lat: time.Since(start)})
 }
 
 // hedgeTarget picks the hedge replica for primary: the next shard accepted
-// by the policy's Healthy filter, admitted by the gate, and allowed by its
-// breaker. On success the target's gate slot and breaker admission are
-// already held.
-func (d *Dispatcher) hedgeTarget(primary int) (int, *breaker) {
+// by the policy's Healthy filter and admitted by the gate. On success the
+// target's gate slot is already held.
+func (d *Dispatcher) hedgeTarget(primary int) int {
 	hp := d.cfg.Hedge
 	n := d.cfg.Shards
 	for hop := 1; hop < n; hop++ {
@@ -205,31 +212,21 @@ func (d *Dispatcher) hedgeTarget(primary int) (int, *breaker) {
 		if hp.Healthy != nil && !hp.Healthy(shard) {
 			continue
 		}
-		if !d.gateAcquire(shard) {
-			continue
+		if d.gateAcquire(shard) {
+			return shard
 		}
-		br := d.breakers[shard]
-		if !br.allow() {
-			d.gateRelease(shard, GateAbandoned, 0)
-			continue
-		}
-		return shard, br
 	}
-	return -1, nil
+	return -1
 }
 
 // hedgedAttempt runs the hop-0 attempt with tail-latency hedging. The
-// caller holds primary's gate slot and breaker admission; this function
-// settles both shards' accounting before returning.
-func (d *Dispatcher) hedgedAttempt(ctx context.Context, primary int, pbr *breaker, part pipeline.Partition, do ShardFunc) hedgeOutcome {
+// caller holds primary's gate slot; this function settles every shard it
+// touches before returning.
+func (d *Dispatcher) hedgedAttempt(ctx context.Context, primary int, part pipeline.Partition, do ShardFunc) hedgeOutcome {
 	hp := d.cfg.Hedge
 	delay := hp.Delay(primary)
 	if delay <= 0 {
-		start := time.Now()
-		v, err := do(ctx, primary, part)
-		a := attempt{shard: primary, v: v, err: err, lat: time.Since(start)}
-		d.settleAttempt(ctx, a, pbr, false)
-		return soloOutcome(a)
+		return d.soloAttempt(ctx, primary, part, do)
 	}
 
 	ch := make(chan attempt, 2)
@@ -243,36 +240,30 @@ func (d *Dispatcher) hedgedAttempt(ctx context.Context, primary int, pbr *breake
 	go run(pctx, primary)
 
 	timer := time.NewTimer(delay)
-	var first attempt
 	select {
-	case first = <-ch:
+	case a := <-ch:
 		timer.Stop()
-		d.settleAttempt(ctx, first, pbr, false)
-		return soloOutcome(first)
+		return d.settleSolo(ctx, a)
 	case <-timer.C:
 	}
 
 	// The primary outlived its adaptive trigger: launch a hedge if the
 	// budget and a healthy replica allow it.
-	if !hp.Budget.TrySpend() {
-		hp.note(HedgeDenied)
-		first = <-ch
-		d.settleAttempt(ctx, first, pbr, false)
-		return soloOutcome(first)
+	hedgeShard := -1
+	if hp.Budget.TrySpend() {
+		if hedgeShard = d.hedgeTarget(primary); hedgeShard < 0 {
+			hp.Budget.refund()
+		}
 	}
-	hedgeShard, hbr := d.hedgeTarget(primary)
 	if hedgeShard < 0 {
-		hp.Budget.refund()
 		hp.note(HedgeDenied)
-		first = <-ch
-		d.settleAttempt(ctx, first, pbr, false)
-		return soloOutcome(first)
+		return d.settleSolo(ctx, <-ch)
 	}
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	go run(markHedge(hctx), hedgeShard)
 
-	first = <-ch
+	first := <-ch
 	firstIsPrimary := first.shard == primary
 	// When the first finisher carries a usable answer (success or a
 	// query-level error), reap the loser; when it failed, the partner is
@@ -294,12 +285,8 @@ func (d *Dispatcher) hedgedAttempt(ctx context.Context, primary int, pbr *breake
 	if !firstIsPrimary {
 		pa, ha = second, first
 	}
-	winnerBr, loserBr := pbr, hbr
-	if !firstIsPrimary {
-		winnerBr, loserBr = hbr, pbr
-	}
-	d.settleAttempt(ctx, first, winnerBr, false)
-	d.settleAttempt(ctx, second, loserBr, canceledLoser)
+	d.settleAttempt(ctx, first, false)
+	d.settleAttempt(ctx, second, canceledLoser)
 
 	out := hedgeOutcome{hedged: true}
 	pOK, hOK := pa.err == nil, ha.err == nil

@@ -251,21 +251,21 @@ func TestRouteErrorLeadsWithPreferredShard(t *testing.T) {
 	}
 }
 
-// TestRouteErrorAllBreakersOpen preserves the ErrShardBreakerOpen contract
-// through the RouteError wrapper.
+// TestRouteErrorAllBreakersOpen preserves the ErrAllShardsRefused contract
+// through the RouteError wrapper when the gate refuses every shard.
 func TestRouteErrorAllBreakersOpen(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Gate: newFakeGate(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fail := func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
 		return nil, errors.New("down")
 	}
-	d.Scatter(context.Background(), parts(2), fail) // opens both breakers
 	results := d.Scatter(context.Background(), parts(2), fail)
 	for _, r := range results {
-		if !errors.Is(r.Err, ErrShardBreakerOpen) {
-			t.Fatalf("want ErrShardBreakerOpen via RouteError, got %v", r.Err)
+		var re *RouteError
+		if !errors.As(r.Err, &re) || !errors.Is(r.Err, ErrAllShardsRefused) {
+			t.Fatalf("want ErrAllShardsRefused via RouteError, got %v", r.Err)
 		}
 	}
 }

@@ -322,7 +322,7 @@ func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadRe
 	if rep.Wall > 0 {
 		rep.ThroughputQPS = float64(rep.Ok) / rep.Wall.Seconds()
 	}
-	rep.Mean, rep.P50, rep.P99 = latencySummary(okLats)
+	rep.Mean, rep.P50, rep.P99 = sched.LatencySummary(okLats)
 	if len(opt.SLO) > 0 {
 		// A nil registry keeps the engine pure accounting — loadgen's
 		// per-run environments are throwaway, so no gauges to publish.
@@ -343,19 +343,4 @@ func RunLoad(env *LoadEnv, r QueryRunner, label string, opt RunOptions) (*LoadRe
 		}
 	}
 	return rep, nil
-}
-
-// latencySummary returns mean/p50/p99 of the sample.
-func latencySummary(lats []time.Duration) (mean, p50, p99 time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, l := range sorted {
-		sum += l
-	}
-	n := len(sorted)
-	return sum / time.Duration(n), sorted[n/2], sorted[(n*99)/100]
 }

@@ -255,7 +255,7 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 	case sem <- struct{}{}:
 	case <-ctx.Done():
 		br.abandon()
-		return nil, ctx.Err()
+		return nil, context.Cause(ctx)
 	}
 	defer func() { <-sem }()
 
@@ -299,16 +299,19 @@ func (e *Executor) runOn(ctx context.Context, reqs []*pipeline.ScoreRequest, tar
 				attempt+1, target, e.cfg.AttemptTimeout, faults.ErrDeviceHang)
 		}
 		br.failure()
-		if cerr := ctx.Err(); cerr != nil {
+		if ctx.Err() != nil {
+			// Join the cause, not ctx.Err(): a coalesced batch's context is
+			// canceled when its last member's deadline fires, and only the
+			// cause says that was a deadline.
 			return nil, fmt.Errorf("exec: %s failed and the query budget expired: %w",
-				target, errors.Join(err, cerr))
+				target, errors.Join(err, context.Cause(ctx)))
 		}
 		if !faults.Retryable(err) || attempt >= e.cfg.MaxRetries {
 			return nil, err
 		}
 		e.noteRetry(target)
 		if !e.backoff(ctx, attempt) {
-			return nil, ctx.Err()
+			return nil, context.Cause(ctx)
 		}
 	}
 }

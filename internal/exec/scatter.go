@@ -1,12 +1,12 @@
 // Shard-aware scatter dispatch for the scale-out serving tier. A Dispatcher
-// owns one circuit breaker per shard (the same breaker machinery the
-// executor uses per device) and fans a query's partitions out concurrently.
-// Shards are data-symmetric replicas — every shard holds the full table and
-// any shard can score any partition — so resilience is rerouting: when a
-// shard's breaker is open or a sub-call fails, its partition moves to the
-// next healthy shard. Only when every route is exhausted does a partition
-// degrade to a typed partial result (PartialError), never to silently
-// missing or zero-valued predictions.
+// fans a query's partitions out concurrently and asks its ShardGate (the
+// router's health state machine) before every attempt; the gate alone
+// decides which shards take traffic. Shards are data-symmetric replicas —
+// every shard holds the full table and any shard can score any partition —
+// so resilience is rerouting: when the gate refuses a shard or a sub-call
+// fails, its partition moves to the next replica. Only when every route is
+// exhausted does a partition degrade to a typed partial result
+// (PartialError), never to silently missing or zero-valued predictions.
 package exec
 
 import (
@@ -21,9 +21,13 @@ import (
 	"accelscore/internal/pipeline"
 )
 
-// ErrShardBreakerOpen is the per-partition error when every shard that
-// could serve it sits behind an open circuit.
-var ErrShardBreakerOpen = errors.New("exec: all shard circuit breakers open")
+// ErrAllShardsRefused is the per-partition error when the gate refused
+// every shard that could serve it, so no attempt ran at all.
+var ErrAllShardsRefused = errors.New("exec: the shard gate refused every candidate shard")
+
+// ErrShardBusy marks a refusal by a saturated shard. The partition reroutes,
+// but the refusal is no health signal: a loaded shard is not a sick one.
+var ErrShardBusy = errors.New("exec: shard busy")
 
 // ShardFunc executes one partition of a query on one shard, returning the
 // shard's (opaque to the dispatcher) sub-result. Implementations signal
@@ -32,14 +36,14 @@ var ErrShardBreakerOpen = errors.New("exec: all shard circuit breakers open")
 type ShardFunc func(ctx context.Context, shard int, part pipeline.Partition) (any, error)
 
 // noRerouteError marks an error as the query's fault, not the shard's:
-// rerouting would fail everywhere, and the shard's breaker stays untouched.
+// rerouting would fail everywhere, and the shard's health stays untouched.
 type noRerouteError struct{ err error }
 
 func (e *noRerouteError) Error() string { return e.err.Error() }
 func (e *noRerouteError) Unwrap() error { return e.err }
 
 // NoReroute wraps an error so the dispatcher fails the partition
-// immediately instead of rerouting it and charging the shard's breaker.
+// immediately instead of rerouting it and charging the shard's health.
 func NoReroute(err error) error {
 	if err == nil {
 		return nil
@@ -86,7 +90,7 @@ type DispatchResult struct {
 type GateOutcome int
 
 const (
-	// GateAbandoned: the attempt never meaningfully ran (breaker refusal,
+	// GateAbandoned: the attempt never meaningfully ran (saturated shard,
 	// caller cancellation, reaped hedge loser) — no health signal.
 	GateAbandoned GateOutcome = iota
 	// GateSuccess: the shard answered correctly.
@@ -109,18 +113,6 @@ type ShardGate interface {
 type DispatcherConfig struct {
 	// Shards is the replica count (required, >= 1).
 	Shards int
-	// BreakerThreshold opens a shard's circuit after this many consecutive
-	// failures (default 3; negative disables the breakers).
-	BreakerThreshold int
-	// BreakerCooldown is the open-circuit cooldown before one half-open
-	// probe (default 250ms).
-	BreakerCooldown time.Duration
-	// MaxReroutes bounds how many ADDITIONAL shards a partition may try
-	// after its preferred one (default Shards-1: every replica).
-	MaxReroutes int
-	// OnBreakerChange, when set, observes shard circuit transitions (for
-	// metrics); state uses the breaker's metric encoding 0/1/2.
-	OnBreakerChange func(shard int, state int)
 	// Gate, when set, vetoes dispatch per shard (health state machine:
 	// quarantined shards refuse, rejoining shards trickle) and receives
 	// passive success/failure/latency signals from every attempt.
@@ -130,11 +122,10 @@ type DispatcherConfig struct {
 	Hedge *HedgePolicy
 }
 
-// Dispatcher scatters partitions across shard replicas with per-shard
-// circuit breakers and reroute-on-failure.
+// Dispatcher scatters partitions across shard replicas with
+// reroute-on-failure.
 type Dispatcher struct {
-	cfg      DispatcherConfig
-	breakers []*breaker
+	cfg DispatcherConfig
 }
 
 // NewDispatcher builds a dispatcher over cfg.Shards replicas.
@@ -142,42 +133,11 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("exec: dispatcher needs at least one shard, got %d", cfg.Shards)
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 250 * time.Millisecond
-	}
-	if cfg.MaxReroutes <= 0 {
-		cfg.MaxReroutes = cfg.Shards - 1
-	}
-	d := &Dispatcher{cfg: cfg, breakers: make([]*breaker, cfg.Shards)}
-	if cfg.BreakerThreshold > 0 {
-		for i := range d.breakers {
-			shard := i
-			var onChange func(breakerState)
-			if cfg.OnBreakerChange != nil {
-				onChange = func(s breakerState) { cfg.OnBreakerChange(shard, int(s)) }
-			}
-			d.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, onChange)
-		}
-	}
-	return d, nil
+	return &Dispatcher{cfg: cfg}, nil
 }
 
 // Shards returns the replica count.
 func (d *Dispatcher) Shards() int { return d.cfg.Shards }
-
-// ShardState returns shard i's circuit state in the metric encoding
-// (0 closed, 1 half-open, 2 open).
-func (d *Dispatcher) ShardState(i int) int { return int(d.breakers[i].current()) }
-
-// ShardStateName returns shard i's circuit state as its label spelling.
-func (d *Dispatcher) ShardStateName(i int) string { return d.breakers[i].current().String() }
-
-// NoteFailure charges shard i's breaker with a failure observed outside a
-// Scatter call (e.g. a failed health probe), accelerating circuit opening.
-func (d *Dispatcher) NoteFailure(i int) { d.breakers[i].failure() }
 
 // gateAcquire consults the configured gate (nil gate admits everything).
 func (d *Dispatcher) gateAcquire(shard int) bool {
@@ -196,8 +156,8 @@ func (d *Dispatcher) gateRelease(shard int, outcome GateOutcome, latency time.Du
 
 // Scatter runs do once per partition, concurrently, and returns one
 // DispatchResult per partition in input order. Partition k prefers shard
-// k mod Shards; a failure or an open breaker routes it onward through the
-// remaining replicas (up to MaxReroutes extra attempts). Scatter never
+// k mod Shards; a failure or a gate refusal routes it onward through the
+// remaining replicas, each tried at most once. Scatter never
 // fabricates data: a partition with no surviving route carries Err.
 func (d *Dispatcher) Scatter(ctx context.Context, parts []pipeline.Partition, do ShardFunc) []DispatchResult {
 	out := make([]DispatchResult, len(parts))
@@ -225,7 +185,7 @@ func (d *Dispatcher) route(ctx context.Context, part pipeline.Partition, do Shar
 
 	var errs []error
 	attempted := false
-	for hop := 0; hop <= d.cfg.MaxReroutes && hop < n; hop++ {
+	for hop := 0; hop < n; hop++ {
 		shard := (preferred + hop) % n
 		if cerr := ctx.Err(); cerr != nil {
 			res.Err = cerr
@@ -233,84 +193,46 @@ func (d *Dispatcher) route(ctx context.Context, part pipeline.Partition, do Shar
 			return res
 		}
 		if !d.gateAcquire(shard) {
-			errs = append(errs, fmt.Errorf("shard %d: quarantined", shard))
-			continue
-		}
-		br := d.breakers[shard]
-		if !br.allow() {
-			d.gateRelease(shard, GateAbandoned, 0)
-			errs = append(errs, fmt.Errorf("shard %d: circuit open", shard))
+			errs = append(errs, fmt.Errorf("shard %d: refused by the health gate", shard))
 			continue
 		}
 		attempted = true
 		attemptStart := time.Now()
-
+		// Either attempt kind settles the gate for every shard it touches.
+		var hr hedgeOutcome
 		if hop == 0 && d.hedging() {
-			// The hedged attempt settles breaker and gate accounting for
-			// every shard it touches.
-			hr := d.hedgedAttempt(ctx, shard, br, part, do)
-			res.Hedged = res.Hedged || hr.hedged
-			if hr.err == nil {
-				res.Shard = hr.shard
-				res.Value = hr.value
-				res.HedgeWon = hr.hedgeWon
-				res.Latency = time.Since(attemptStart)
-				return res
-			}
-			if !rerouteable(hr.err) {
-				res.Shard = hr.shard
-				res.Err = hr.err
-				res.Latency = time.Since(start)
-				return res
-			}
-			if ctx.Err() != nil {
-				res.Shard = shard
-				res.Err = ctx.Err()
-				res.Latency = time.Since(start)
-				return res
-			}
-			res.Reroutes++
-			errs = append(errs, hr.attemptErrs...)
-			res.Shard = shard
-			continue
+			hr = d.hedgedAttempt(ctx, shard, part, do)
+		} else {
+			hr = d.soloAttempt(ctx, shard, part, do)
 		}
-
-		v, err := do(ctx, shard, part)
-		lat := time.Since(attemptStart)
-		if err == nil {
-			br.success()
-			d.gateRelease(shard, GateSuccess, lat)
-			res.Shard = shard
-			res.Value = v
-			res.Latency = lat // successful attempt only
+		res.Hedged = res.Hedged || hr.hedged
+		if hr.err == nil {
+			res.Shard = hr.shard
+			res.Value = hr.value
+			res.HedgeWon = hr.hedgeWon
+			res.Latency = time.Since(attemptStart) // successful attempt only
 			return res
 		}
-		if !rerouteable(err) {
+		if !rerouteable(hr.err) {
 			// The query itself is bad; the shard answered correctly.
-			br.success()
-			d.gateRelease(shard, GateSuccess, lat)
-			res.Shard = shard
-			res.Err = err
+			res.Shard = hr.shard
+			res.Err = hr.err
 			res.Latency = time.Since(start)
 			return res
 		}
 		if ctx.Err() != nil {
 			// The caller's budget expired mid-call; don't blame the shard.
-			br.abandon()
-			d.gateRelease(shard, GateAbandoned, lat)
 			res.Shard = shard
 			res.Err = ctx.Err()
 			res.Latency = time.Since(start)
 			return res
 		}
-		br.failure()
-		d.gateRelease(shard, GateFailure, lat)
 		res.Reroutes++
-		errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
+		errs = append(errs, hr.attemptErrs...)
 		res.Shard = shard
 	}
 	if !attempted {
-		errs = append(errs, ErrShardBreakerOpen)
+		errs = append(errs, ErrAllShardsRefused)
 	}
 	res.Err = &RouteError{Preferred: preferred, Attempts: errs}
 	// Name the original fault — the preferred shard — not the last reroute

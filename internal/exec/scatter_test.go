@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,19 +78,48 @@ func TestScatterReroutesDeadShard(t *testing.T) {
 	}
 }
 
-// TestScatterOpensBreakerAndSkipsShard drives a shard past its failure
-// threshold and checks later scatters skip it without calling it.
+// fakeGate is a ShardGate that refuses the shards marked in refuse and
+// records every released outcome per shard.
+type fakeGate struct {
+	mu       sync.Mutex
+	refuse   map[int]bool
+	released map[int][]GateOutcome
+}
+
+func newFakeGate(refuse ...int) *fakeGate {
+	g := &fakeGate{refuse: make(map[int]bool), released: make(map[int][]GateOutcome)}
+	for _, s := range refuse {
+		g.refuse[s] = true
+	}
+	return g
+}
+
+func (g *fakeGate) Acquire(shard int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return !g.refuse[shard]
+}
+
+func (g *fakeGate) Release(shard int, outcome GateOutcome, _ time.Duration) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.released[shard] = append(g.released[shard], outcome)
+}
+
+// saw reports whether shard's released outcomes are exactly want.
+func (g *fakeGate) saw(shard int, want ...GateOutcome) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Equal(g.released[shard], want)
+}
+
+// TestScatterOpensBreakerAndSkipsShard: a dead shard's failures reach the
+// gate (the health state machine that stops traffic to it), and once the
+// gate refuses the shard, later scatters skip it without calling it and
+// never release a slot they did not acquire.
 func TestScatterOpensBreakerAndSkipsShard(t *testing.T) {
-	transitions := make(map[int][]int)
-	var mu sync.Mutex
-	d, err := NewDispatcher(DispatcherConfig{
-		Shards: 2, BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		OnBreakerChange: func(shard, state int) {
-			mu.Lock()
-			transitions[shard] = append(transitions[shard], state)
-			mu.Unlock()
-		},
-	})
+	gate := newFakeGate()
+	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,28 +131,47 @@ func TestScatterOpensBreakerAndSkipsShard(t *testing.T) {
 		}
 		return shard, nil
 	}
-	// Two scatters of partition 0 (preferred shard 0) open the circuit.
+	// Two scatters of partition 0 (preferred shard 0) reroute and charge
+	// shard 0 with one failure each.
 	for i := 0; i < 2; i++ {
-		rs := d.Scatter(context.Background(), parts(2)[:1], do)
-		if rs[0].Err != nil {
+		if rs := d.Scatter(context.Background(), parts(2)[:1], do); rs[0].Err != nil {
 			t.Fatalf("scatter %d: %v", i, rs[0].Err)
 		}
 	}
-	if d.ShardState(0) != 2 {
-		t.Fatalf("shard 0 circuit = %s, want open", d.ShardStateName(0))
+	if !gate.saw(0, GateFailure, GateFailure) || !gate.saw(1, GateSuccess, GateSuccess) {
+		t.Fatalf("released %v, want two failures on shard 0 and two successes on shard 1", gate.released)
 	}
+	gate.mu.Lock()
+	gate.refuse[0] = true
+	gate.mu.Unlock()
 	callsBefore := deadCalls
 	rs := d.Scatter(context.Background(), parts(2)[:1], do)
 	if rs[0].Err != nil || rs[0].Shard != 1 {
-		t.Fatalf("open-breaker scatter: shard=%d err=%v", rs[0].Shard, rs[0].Err)
+		t.Fatalf("refused-shard scatter: shard=%d err=%v", rs[0].Shard, rs[0].Err)
 	}
-	if deadCalls != callsBefore {
-		t.Fatal("open breaker did not skip the dead shard")
+	if deadCalls != callsBefore || !gate.saw(0, GateFailure, GateFailure) {
+		t.Fatalf("a refused shard was called or released (released %v)", gate.released)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(transitions[0]) == 0 || transitions[0][len(transitions[0])-1] != 2 {
-		t.Fatalf("shard 0 transitions = %v, want trailing open", transitions[0])
+}
+
+// TestScatterBusyShardIsNoHealthSignal: a saturated shard's ErrShardBusy
+// refusal reroutes the partition but is released as GateAbandoned, so load
+// alone never degrades a shard.
+func TestScatterBusyShardIsNoHealthSignal(t *testing.T) {
+	gate := newFakeGate()
+	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := d.Scatter(context.Background(), parts(2)[:1],
+		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+			if shard == 0 {
+				return nil, fmt.Errorf("shard 0: queue full: %w", ErrShardBusy)
+			}
+			return shard, nil
+		})
+	if rs[0].Err != nil || rs[0].Shard != 1 || !gate.saw(0, GateAbandoned) {
+		t.Fatalf("busy shard 0: result %+v, released %v; want a reroute and one abandon", rs[0], gate.released)
 	}
 }
 
@@ -163,9 +212,11 @@ func TestScatterPartialWhenAllRoutesFail(t *testing.T) {
 }
 
 // TestScatterNoRerouteStopsImmediately checks query-level errors neither
-// reroute nor charge the shard's breaker.
+// reroute nor charge the shard's health: the shard answered correctly, so
+// its slot is released as GateSuccess, never GateFailure.
 func TestScatterNoRerouteStopsImmediately(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Shards: 3, BreakerThreshold: 1})
+	gate := newFakeGate()
+	d, err := NewDispatcher(DispatcherConfig{Shards: 3, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,24 +233,28 @@ func TestScatterNoRerouteStopsImmediately(t *testing.T) {
 	if !errors.Is(results[0].Err, bad) {
 		t.Fatalf("err = %v", results[0].Err)
 	}
-	if d.ShardState(0) != 0 {
-		t.Fatalf("query-level error charged shard 0's breaker (state %s)", d.ShardStateName(0))
+	if !gate.saw(0, GateSuccess) {
+		t.Fatalf("query-level error released %v, want one GateSuccess on shard 0", gate.released)
 	}
 }
 
-// TestScatterAllBreakersOpen checks the explicit ErrShardBreakerOpen
-// outcome when no replica is admissible.
+// TestScatterAllBreakersOpen checks the explicit ErrAllShardsRefused
+// outcome when the gate admits no replica: nothing is called.
 func TestScatterAllBreakersOpen(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Shards: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	d, err := NewDispatcher(DispatcherConfig{Shards: 2, Gate: newFakeGate(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail := func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
-		return nil, errors.New("down")
+	calls := 0
+	results := d.Scatter(context.Background(), parts(2)[:1],
+		func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
+			calls++
+			return nil, errors.New("down")
+		})
+	if !errors.Is(results[0].Err, ErrAllShardsRefused) {
+		t.Fatalf("err = %v, want ErrAllShardsRefused", results[0].Err)
 	}
-	d.Scatter(context.Background(), parts(2), fail) // opens both circuits
-	results := d.Scatter(context.Background(), parts(2)[:1], fail)
-	if !errors.Is(results[0].Err, ErrShardBreakerOpen) {
-		t.Fatalf("err = %v, want ErrShardBreakerOpen", results[0].Err)
+	if calls != 0 {
+		t.Fatalf("%d calls to refused shards", calls)
 	}
 }

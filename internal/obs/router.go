@@ -27,9 +27,6 @@ const (
 	// MetricRouterReroutesTotal counts partitions moved off their preferred
 	// shard {shard} (labelled by the shard routed AWAY from).
 	MetricRouterReroutesTotal = "accelscore_router_reroutes_total"
-	// MetricRouterShardBreakerState gauges each shard's circuit state
-	// {shard}: 0 closed, 1 half-open, 2 open.
-	MetricRouterShardBreakerState = "accelscore_router_shard_breaker_state"
 	// MetricRouterWarmTotal counts model-cache warm calls fanned out to
 	// shards {status="hit"|"miss"|"nocache"|"error"}.
 	MetricRouterWarmTotal = "accelscore_router_warm_total"
@@ -99,17 +96,6 @@ func (m *RouterMetrics) ObserveShard(shard int, latency time.Duration, reroutes 
 		m.reg.Counter(MetricRouterReroutesTotal,
 			"Partitions rerouted away from a shard.", "shard", s).Add(float64(reroutes))
 	}
-}
-
-// SetBreakerState gauges a shard's circuit state (the breaker's 0/1/2
-// metric encoding).
-func (m *RouterMetrics) SetBreakerState(shard, state int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Gauge(MetricRouterShardBreakerState,
-		"Shard circuit state: 0 closed, 1 half-open, 2 open.",
-		"shard", strconv.Itoa(shard)).Set(float64(state))
 }
 
 // NoteWarm counts one model-cache warm call outcome.

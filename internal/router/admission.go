@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"accelscore/internal/exec"
 	"accelscore/internal/obs"
 )
 
@@ -243,15 +244,16 @@ func (a *admission) Admit(ctx context.Context, class string) (release func(ok bo
 }
 
 // acquireShard bounds one shard's concurrent sub-queries. A full queue
-// fast-fails (rerouteable) so the dispatcher moves the partition to a less
-// loaded replica instead of queueing without bound.
+// fast-fails with exec.ErrShardBusy so the dispatcher moves the partition
+// to a less loaded replica instead of queueing without bound, and settles
+// the refusal as no health signal.
 func (a *admission) acquireShard(ctx context.Context, shard int) (func(), error) {
 	if a == nil || a.cfg.ShardInFlight <= 0 {
 		return func() {}, nil
 	}
 	if a.shardWait[shard].Add(1) > int64(a.cfg.ShardQueue) {
 		a.shardWait[shard].Add(-1)
-		return nil, fmt.Errorf("shard %d: sub-query queue full", shard)
+		return nil, fmt.Errorf("shard %d: sub-query queue full: %w", shard, exec.ErrShardBusy)
 	}
 	defer a.shardWait[shard].Add(-1)
 	select {

@@ -19,8 +19,8 @@ import (
 // Backend is one shard replica the router can scatter to. Implementations
 // classify query-level failures (ones that would fail identically on every
 // replica) by wrapping them with exec.NoReroute; every other error is
-// treated as the shard's fault and triggers rerouting plus breaker
-// accounting.
+// treated as the shard's fault and triggers rerouting plus a failure signal
+// to the shard's health state machine.
 type Backend interface {
 	// ID names the shard for logs, metrics and merged results.
 	ID() string

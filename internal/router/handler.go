@@ -136,7 +136,7 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 func statusFor(ctx context.Context, err error) int {
 	var pe *exec.PartialError
 	switch {
-	case errors.As(err, &pe), errors.Is(err, exec.ErrShardBreakerOpen):
+	case errors.As(err, &pe), errors.Is(err, exec.ErrAllShardsRefused), errors.Is(err, exec.ErrShardBusy):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -167,7 +167,7 @@ func (h *handler) handleWarm(w http.ResponseWriter, r *http.Request) {
 }
 
 // routerHealth is the /healthz payload: the health state machine's view of
-// every shard (state, probe history, breaker, reroutes) plus the admission
+// every shard (state, probe history, reroutes) plus the admission
 // ledger when admission control is on.
 type routerHealth struct {
 	Status    string           `json:"status"`
@@ -178,16 +178,15 @@ type routerHealth struct {
 type shardHealth struct {
 	Shard string `json:"shard"`
 	ShardHealthSnapshot
-	Breaker  string `json:"breaker"`
 	Reroutes uint64 `json:"reroutes"`
 }
 
 // handleHealthz reports the aggregated health picture: each shard's FSM
-// state (refreshed by an on-demand probe round), circuit-breaker state, and
-// reroute count. The tier is "ok" when every shard is healthy, "degraded"
-// while any shard is off-nominal but at least one still takes traffic, and
-// "down" (503) only when every shard is quarantined — a degraded tier still
-// serves, so it still answers 200.
+// state (refreshed by an on-demand probe round) and reroute count. The tier
+// is "ok" when every shard is healthy, "degraded" while any shard is
+// off-nominal but at least one still takes traffic, and "down" (503) only
+// when every shard is quarantined — a degraded tier still serves, so it
+// still answers 200.
 func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.r.health.ProbeAll()
 	rh := routerHealth{
@@ -201,7 +200,6 @@ func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		rh.Shards[i] = shardHealth{
 			Shard:               b.ID(),
 			ShardHealthSnapshot: snap,
-			Breaker:             h.r.disp.ShardStateName(i),
 			Reroutes:            h.r.RerouteCount(i),
 		}
 		if snap.State != ShardHealthy {

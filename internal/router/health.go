@@ -11,6 +11,8 @@
 // half-open rejoin: a quarantined shard must pass consecutive probes after
 // a backoff dwell, is then re-warmed (model cache first, via /warm), and
 // only graduates back to healthy after a trickle of real traffic succeeds.
+// It is the tier's only per-shard state: the dispatcher asks it before every
+// attempt and reports every outcome back to it.
 package router
 
 import (

@@ -17,10 +17,6 @@ import (
 type Config struct {
 	// Backends are the shard replicas, one per partition index.
 	Backends []Backend
-	// BreakerThreshold and BreakerCooldown tune the per-shard circuit
-	// breakers (zero values take the dispatcher defaults).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// AllowPartial degrades a query with unreachable partitions to an
 	// explicit partial result (Merged.Partial=true, missing partitions
 	// listed) instead of failing it. Predictions for missing partitions
@@ -33,9 +29,10 @@ type Config struct {
 	WarmModels []string
 	// WarmTimeout bounds the construction-time warm fan-out (default 10s).
 	WarmTimeout time.Duration
-	// Health tunes the shard health state machine (nil takes defaults).
-	// The state machine always runs on passive per-request signals;
-	// active /healthz probing engages only when Health.ProbeInterval > 0.
+	// Health tunes the shard health state machine (nil takes defaults),
+	// the only per-shard state: it alone decides which shards take
+	// traffic. It always runs on passive per-request signals; active
+	// /healthz probing engages only when Health.ProbeInterval > 0.
 	Health *HealthConfig
 	// Hedge enables tail-latency hedging (nil disables; a non-nil zero
 	// value takes the defaults).
@@ -106,7 +103,6 @@ func New(cfg Config) (*Router, error) {
 		r.metrics = obs.NewRouterMetrics(cfg.Obs.Metrics())
 		r.tracer = cfg.Obs.Tracer
 		for i := range cfg.Backends {
-			r.metrics.SetBreakerState(i, 0)
 			r.metrics.SetShardState(i, int(ShardHealthy))
 		}
 	}
@@ -123,12 +119,7 @@ func New(cfg Config) (*Router, error) {
 		func(i int, s ShardState) { r.metrics.SetShardState(i, int(s)) },
 	)
 
-	dcfg := exec.DispatcherConfig{
-		Shards:           n,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Gate:             r.health,
-	}
+	dcfg := exec.DispatcherConfig{Shards: n, Gate: r.health}
 	if cfg.Hedge != nil && !cfg.Hedge.Disabled {
 		hc := *cfg.Hedge
 		hc.fill()
@@ -207,15 +198,6 @@ func (r *Router) PredictedLatency() time.Duration { return r.adm.predicted() }
 // Shards returns the scatter width.
 func (r *Router) Shards() int { return len(r.cfg.Backends) }
 
-// ShardStates returns each shard's circuit state name.
-func (r *Router) ShardStates() []string {
-	out := make([]string, r.Shards())
-	for i := range out {
-		out[i] = r.disp.ShardStateName(i)
-	}
-	return out
-}
-
 // WarmStatus is one shard's outcome of a warm fan-out.
 type WarmStatus struct {
 	Shard  string `json:"shard"`
@@ -253,8 +235,8 @@ func (r *Router) Warm(ctx context.Context, model string) []WarmStatus {
 type QueryOptions struct {
 	// Tenant, when non-empty, engages tenant affinity: the whole query
 	// (unpartitioned) routes to the tenant's home shard — FNV over the
-	// tenant key — keeping that tenant's model cache and breaker history
-	// on one replica. Failures still reroute to other shards.
+	// tenant key — keeping that tenant's model cache warm on one replica.
+	// Failures still reroute to other shards.
 	Tenant string
 	// Class is the query's SLO priority class for admission control
 	// (see AdmissionConfig.Classes; unknown or empty classes get the
@@ -340,8 +322,9 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 	dres := r.disp.Scatter(ctx, parts, func(ctx context.Context, shard int, part pipeline.Partition) (any, error) {
 		slot, serr := r.adm.acquireShard(ctx, shard)
 		if serr != nil {
-			// A saturated shard fast-fails (rerouteable): the dispatcher
-			// moves the partition to a less loaded replica.
+			// A saturated shard fast-fails with exec.ErrShardBusy: the
+			// dispatcher moves the partition to a less loaded replica
+			// without charging the shard's health.
 			return nil, serr
 		}
 		defer slot()
@@ -360,7 +343,7 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 		return r.cfg.Backends[shard].Score(ctx, wreq)
 	})
 
-	// Telemetry: per-shard latency/reroutes, breaker states, straggler gap.
+	// Telemetry: per-shard latency/reroutes, straggler gap.
 	var minLat, maxLat time.Duration
 	reroutes, hedges, hedgeWins := 0, 0, 0
 	for i, d := range dres {
@@ -384,9 +367,6 @@ func (r *Router) Score(ctx context.Context, req *pipeline.ScoreRequest, opts Que
 				maxLat = d.Latency
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		r.metrics.SetBreakerState(i, r.disp.ShardState(i))
 	}
 	gap := maxLat - minLat
 	if gap < 0 {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"accelscore/internal/dataset"
@@ -90,14 +91,7 @@ func TestRouterBitIdenticalPlain(t *testing.T) {
 	if got.Shards != 3 {
 		t.Fatalf("scatter width %d", got.Shards)
 	}
-	if len(got.Predictions) != len(want.Predictions) {
-		t.Fatalf("merged %d predictions, single-node %d", len(got.Predictions), len(want.Predictions))
-	}
-	for i := range want.Predictions {
-		if got.Predictions[i] != want.Predictions[i] {
-			t.Fatalf("row %d: merged %d, single-node %d", i, got.Predictions[i], want.Predictions[i])
-		}
-	}
+	samePredictions(t, got.Predictions, want.Predictions)
 	if got.ScoredRows != nil {
 		t.Fatal("full merge kept scored-row ordinals; single-node shape is nil")
 	}
@@ -171,23 +165,21 @@ func TestRouterTenantAffinity(t *testing.T) {
 	if got.Shards != 1 {
 		t.Fatalf("tenant-affine query scattered to %d sub-queries", got.Shards)
 	}
-	for i := range want.Predictions {
-		if got.Predictions[i] != want.Predictions[i] {
-			t.Fatalf("tenant row %d: %d vs %d", i, got.Predictions[i], want.Predictions[i])
-		}
-	}
+	samePredictions(t, got.Predictions, want.Predictions)
 	home := pipeline.TenantShard("acme", 3)
 	if home < 0 || home > 2 {
 		t.Fatalf("tenant home shard %d", home)
 	}
 }
 
-// failingBackend wraps a Backend, failing every Score call.
+// failingBackend wraps a Backend, failing and counting every Score call.
 type failingBackend struct {
 	router.Backend
+	calls atomic.Int64
 }
 
 func (f *failingBackend) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	f.calls.Add(1)
 	return nil, errors.New("shard killed")
 }
 
@@ -217,8 +209,8 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	for i := range backends {
 		backends[i] = &router.Local{Name: fmt.Sprintf("shard-%d", i), Pipe: newShardPipeline(t, rows)}
 	}
-	// Kill shard 1 outright; with MaxReroutes at default every partition
-	// still lands on a healthy replica, so first check pure rerouting.
+	// Kill shard 1 outright; every partition may try every replica, so
+	// each still lands on a healthy one: first check pure rerouting.
 	backends[1] = &failingBackend{Backend: backends[1]}
 	r, err := router.New(router.Config{Backends: backends})
 	if err != nil {
@@ -239,11 +231,7 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	if got.Reroutes == 0 {
 		t.Fatal("dead shard's partition was not rerouted")
 	}
-	for i := range want.Predictions {
-		if got.Predictions[i] != want.Predictions[i] {
-			t.Fatalf("post-reroute row %d: %d vs %d", i, got.Predictions[i], want.Predictions[i])
-		}
-	}
+	samePredictions(t, got.Predictions, want.Predictions)
 
 	// Now kill ALL routes for partition 1's rows: every replica refuses
 	// that partition, so no reroute can save it while partitions 0 and 2
@@ -256,7 +244,7 @@ func TestRouterPartialShardFailure(t *testing.T) {
 			part:    "1/3",
 		}
 	}
-	strict, err := router.New(router.Config{Backends: allDead, BreakerThreshold: -1})
+	strict, err := router.New(router.Config{Backends: allDead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +258,7 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	}
 
 	// Partial mode => explicit partial result, surviving rows exact.
-	partial, err := router.New(router.Config{Backends: allDead, BreakerThreshold: -1, AllowPartial: true})
+	partial, err := router.New(router.Config{Backends: allDead, AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +300,126 @@ func TestRouterPartialShardFailure(t *testing.T) {
 	}
 }
 
+// twoShardRouter builds a router over first and one healthy Local shard,
+// returning the single-node answer to plainSQL as the oracle.
+func twoShardRouter(t *testing.T, first router.Backend, cfg router.Config) (*router.Router, *pipeline.QueryResult) {
+	t.Helper()
+	cfg.Backends = []router.Backend{first, &router.Local{Name: "shard-1", Pipe: newShardPipeline(t, 200)}}
+	r, err := router.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	want, err := newShardPipeline(t, 200).ExecQuery(plainSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, want
+}
+
+func samePredictions(t *testing.T, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d predictions, single-node %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: routed %d, single-node %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRouterQuarantinesDeadShard: the health state machine alone stops
+// traffic to a dead shard. A Local shard that always fails reaches
+// ShardQuarantined, after which the dispatcher never calls it again, and
+// every answer still comes back bit-identical from the replica.
+func TestRouterQuarantinesDeadShard(t *testing.T) {
+	dead := &failingBackend{Backend: &router.Local{Name: "shard-0", Pipe: newShardPipeline(t, 200)}}
+	r, want := twoShardRouter(t, dead, router.Config{})
+	check := func() {
+		got, err := r.Query(context.Background(), plainSQL, router.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePredictions(t, got.Predictions, want.Predictions)
+	}
+	for q := 0; r.Health().State(0) != router.ShardQuarantined; q++ {
+		if q == 20 {
+			t.Fatalf("shard 0 is %s after %d failing queries, want quarantined", r.Health().State(0), q)
+		}
+		check()
+	}
+	calls := dead.calls.Load()
+	for q := 0; q < 5; q++ {
+		check()
+	}
+	if got := dead.calls.Load(); got != calls {
+		t.Fatalf("quarantined shard 0 was called %d more times", got-calls)
+	}
+}
+
+// blockingShard wraps a Backend, parking every Score call until release
+// closes and announcing each arrival on entered.
+type blockingShard struct {
+	router.Backend
+	entered, release chan struct{}
+}
+
+func (b *blockingShard) Score(ctx context.Context, req router.Request) (*router.Result, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.Score(ctx, req)
+}
+
+// TestRouterSaturatedShardStaysHealthy: a shard whose per-shard queue is
+// full fast-fails its sub-queries to a replica, but saturation is not
+// sickness. The shard stays ShardHealthy with no transitions, and every
+// answer stays bit-identical.
+func TestRouterSaturatedShardStaysHealthy(t *testing.T) {
+	busy := &blockingShard{Backend: &router.Local{Name: "shard-0", Pipe: newShardPipeline(t, 200)},
+		entered: make(chan struct{}, 2), release: make(chan struct{})} // query 1 and the queued one
+	r, want := twoShardRouter(t, busy, router.Config{
+		Admission: &router.AdmissionConfig{MaxInFlight: 64, ShardInFlight: 1, ShardQueue: 1},
+	})
+	// Tenant affinity sends each whole query to shard 0 first.
+	tenant := "tenant-0"
+	for i := 1; pipeline.TenantShard(tenant, 2) != 0; i++ {
+		tenant = fmt.Sprintf("tenant-%d", i)
+	}
+	answers := make(chan *router.Merged, 4)
+	query := func() {
+		m, err := r.Query(context.Background(), plainSQL, router.QueryOptions{Tenant: tenant})
+		if err != nil {
+			t.Error(err)
+		}
+		answers <- m
+	}
+	go query() // holds shard 0's only slot, parked in Score
+	<-busy.entered
+	// Of these two, one waits in shard 0's one-deep queue and the other
+	// finds it full and reroutes to shard 1; then one more reroutes.
+	go query()
+	go query()
+	rerouted := []*router.Merged{<-answers}
+	go query()
+	rerouted = append(rerouted, <-answers)
+	close(busy.release)
+	for _, m := range append(rerouted, <-answers, <-answers) {
+		if m == nil {
+			t.FailNow()
+		}
+		samePredictions(t, m.Predictions, want.Predictions)
+	}
+	for _, m := range rerouted {
+		if m.Reroutes != 1 {
+			t.Fatalf("saturated query took %d reroutes, want 1", m.Reroutes)
+		}
+	}
+	if st, tr := r.Health().State(0), r.Health().Transitions(0); st != router.ShardHealthy || tr != 0 {
+		t.Fatalf("saturated shard 0 is %s after %d transitions, want healthy after 0", st, tr)
+	}
+}
+
 func TestRouterRejectsBadSQL(t *testing.T) {
 	r, _ := newLocalRouter(t, 2, 100, router.Config{})
 	for _, sql := range []string{
@@ -324,8 +432,8 @@ func TestRouterRejectsBadSQL(t *testing.T) {
 			t.Fatalf("router accepted %q", sql)
 		}
 	}
-	// Unknown model: query-level error, never partial, never rerouted into
-	// a breaker storm.
+	// Unknown model: query-level error, never partial, never rerouted, and
+	// no shard's health is charged for it.
 	_, err := r.Query(context.Background(),
 		"EXEC sp_score_model @model='nope', @data='iris'", router.QueryOptions{})
 	if err == nil {
@@ -335,9 +443,10 @@ func TestRouterRejectsBadSQL(t *testing.T) {
 	if errors.As(err, &pe) {
 		t.Fatalf("query-level error surfaced as PartialError: %v", err)
 	}
-	for i, state := range r.ShardStates() {
-		if state != "closed" {
-			t.Fatalf("query-level error charged shard %d breaker (%s)", i, state)
+	for i := 0; i < r.Shards(); i++ {
+		if r.Health().State(i) != router.ShardHealthy || r.Health().Transitions(i) != 0 {
+			t.Fatalf("query-level error charged shard %d's health (%s, %d transitions)",
+				i, r.Health().State(i), r.Health().Transitions(i))
 		}
 	}
 }
@@ -394,14 +503,7 @@ func TestRouterHandler(t *testing.T) {
 	if qr.Shards != 3 || qr.Partial {
 		t.Fatalf("shards=%d partial=%v", qr.Shards, qr.Partial)
 	}
-	if len(qr.Predictions) != len(want.Predictions) {
-		t.Fatalf("%d predictions, want %d", len(qr.Predictions), len(want.Predictions))
-	}
-	for i := range want.Predictions {
-		if qr.Predictions[i] != want.Predictions[i] {
-			t.Fatalf("row %d: %d vs %d", i, qr.Predictions[i], want.Predictions[i])
-		}
-	}
+	samePredictions(t, qr.Predictions, want.Predictions)
 
 	hz, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
@@ -414,9 +516,8 @@ func TestRouterHandler(t *testing.T) {
 	var health struct {
 		Status string `json:"status"`
 		Shards []struct {
-			Shard   string `json:"shard"`
-			Breaker string `json:"breaker"`
-			OK      bool   `json:"ok"`
+			Shard string `json:"shard"`
+			State string `json:"state"`
 		} `json:"shards"`
 	}
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
@@ -424,6 +525,11 @@ func TestRouterHandler(t *testing.T) {
 	}
 	if health.Status != "ok" || len(health.Shards) != 3 {
 		t.Fatalf("health %+v", health)
+	}
+	for _, sh := range health.Shards {
+		if sh.State != "healthy" {
+			t.Fatalf("healthz shard %+v, want healthy", sh)
+		}
 	}
 
 	mt, err := srv.Client().Get(srv.URL + "/metrics")

@@ -2,7 +2,7 @@
 // front that hash-partitions a scoring query's rows across N data-symmetric
 // shard replicas (every shard holds the full table; FNV over the stable row
 // ordinal assigns each row to exactly one partition), scatters one
-// sub-query per partition through per-shard circuit breakers, and merges
+// sub-query per partition past the shard health state machine, and merges
 // the shard results — predictions keyed by scan ordinal, class-count
 // histograms summed, simulated O/L/C timelines folded per stage — into a
 // single result bit-identical to a single-node run.

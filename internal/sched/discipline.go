@@ -138,16 +138,9 @@ func (s *DisciplinedSimulator) Run(policy Policy, queries []Query) ([]Completion
 	sort.SliceStable(completions, func(i, j int) bool { return completions[i].Query.ID < completions[j].Query.ID })
 
 	lat := make([]time.Duration, len(completions))
-	var sum time.Duration
 	for i, c := range completions {
 		lat[i] = c.Latency()
-		sum += lat[i]
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	if n := len(lat); n > 0 {
-		metrics.MeanLatency = sum / time.Duration(n)
-		metrics.P50 = lat[n/2]
-		metrics.P99 = lat[(n*99)/100]
-	}
+	metrics.MeanLatency, metrics.P50, metrics.P99 = LatencySummary(lat)
 	return completions, metrics, nil
 }

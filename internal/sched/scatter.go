@@ -121,7 +121,7 @@ func SimulateScatter(cfg ScatterConfig) (ScatterMetrics, error) {
 	shardFree := make([]time.Duration, cfg.Shards)
 	clientFree := make([]time.Duration, clients)
 	latencies := make([]time.Duration, 0, cfg.Queries)
-	var latSum, gapSum time.Duration
+	var gapSum time.Duration
 
 	for q := 0; q < cfg.Queries; q++ {
 		// The next query comes from the first client to go idle.
@@ -157,19 +157,14 @@ func SimulateScatter(cfg ScatterConfig) (ScatterMetrics, error) {
 		}
 		lat := gather - issue
 		latencies = append(latencies, lat)
-		latSum += lat
 		clientFree[c] = gather
 		if gather > m.Makespan {
 			m.Makespan = gather
 		}
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	n := len(latencies)
-	m.MeanLatency = latSum / time.Duration(n)
-	m.P50 = latencies[n/2]
-	m.P99 = latencies[(n*99)/100]
-	m.MeanStragglerGap = gapSum / time.Duration(n)
+	m.MeanLatency, m.P50, m.P99 = LatencySummary(latencies)
+	m.MeanStragglerGap = gapSum / time.Duration(len(latencies))
 	if m.Makespan > 0 {
 		m.Throughput = float64(cfg.Queries) / m.Makespan.Seconds()
 	}

@@ -107,18 +107,28 @@ func (s *Simulator) Run(policy Policy, queries []Query) ([]Completion, Metrics, 
 
 	// Latency distribution.
 	lat := make([]time.Duration, len(completions))
-	var sum time.Duration
 	for i, c := range completions {
 		lat[i] = c.Latency()
-		sum += lat[i]
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	if n := len(lat); n > 0 {
-		metrics.MeanLatency = sum / time.Duration(n)
-		metrics.P50 = lat[n/2]
-		metrics.P99 = lat[(n*99)/100]
-	}
+	metrics.MeanLatency, metrics.P50, metrics.P99 = LatencySummary(lat)
 	return completions, metrics, nil
+}
+
+// LatencySummary returns the mean, median and 99th percentile of lats: the
+// sorted sample's elements n/2 and (n*99)/100, zeros when lats is empty.
+// lats itself is left unsorted.
+func LatencySummary(lats []time.Duration) (mean, p50, p99 time.Duration) {
+	n := len(lats)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	sorted := append([]time.Duration(nil), lats...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, l := range sorted {
+		sum += l
+	}
+	return sum / time.Duration(n), sorted[n/2], sorted[(n*99)/100]
 }
 
 // Compare runs the same stream under several policies and returns metrics
